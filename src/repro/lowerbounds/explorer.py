@@ -2,18 +2,39 @@
 
 The paper's claims quantify over *all* schedules; for small systems we
 can check them exhaustively.  A *configuration* is the full system
-state — private states, register contents, outputs — and the adversary
-moves by picking any non-empty subset of working processes to activate
-(our engine's simultaneous write-then-read semantics).  Configurations
+state — private states, register contents, outputs.  Configurations
 are hashable because algorithm states and register payloads are plain
 named tuples.
+
+**Moves are connected subsets.**  The adversary activates a non-empty
+set of working processes at once (our engine's simultaneous
+write-then-read semantics, Eq. (1)).  If that set splits into two parts
+``A`` and ``B`` with no topology edge between them, no process of ``A``
+reads a register of ``B`` or vice versa, so activating ``A ∪ B`` leads
+to the same configuration as activating ``A`` and then ``B``.  Every
+move therefore factors into moves whose activation sets induce
+*connected* subgraphs (arcs, on a cycle), and :meth:`BoundedExplorer.moves`
+yields only those — about ``n²`` per configuration on ``C_n`` instead
+of ``2ⁿ − 1``.  The reduction keeps the reachable configurations, the
+configuration-graph cycles, the strongly-connected components and the
+processes their edges activate, and the per-process activation counts
+along any path; what changes is the *length* of a witness, which now
+counts connected steps (a step of the full relation may take several).
+
+**Transitions are memoised.**  When the algorithm declares
+``view_deterministic`` (the purity contract of
+:class:`~repro.core.algorithm.Algorithm`), :meth:`BoundedExplorer.apply`
+caches ``register_value(state)`` by state and the outcome of
+``step(state, views)`` by ``(state, views)``, one table per explorer
+instance.  Algorithms that do not declare it are called directly on
+every transition.
 
 The explorer supports the three queries used by the falsifiers and
 the exact small-``n`` experiments:
 
 * :meth:`BoundedExplorer.find_violation` — breadth-first search for a
-  configuration violating a predicate; returns the (shortest-in-steps)
-  witness schedule, replayable through the engine;
+  configuration violating a predicate; returns the (shortest in
+  connected steps) witness schedule, replayable through the engine;
 * :meth:`BoundedExplorer.find_livelock` — depth-first search for a
   reachable cycle in the configuration graph: the adversary can loop
   that cycle forever, so any such cycle refutes wait-freedom (some
@@ -30,7 +51,6 @@ report whether the search was exhausted or truncated.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -56,6 +76,18 @@ __all__ = ["ExplorerConfig", "BoundedExplorer", "SearchOutcome"]
 #: Marker wrapping a returned output inside the hashable outputs tuple
 #: (distinguishes "returned None" from "not returned").
 _RETURNED = "returned"
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``."""
+
+    def __init__(self, compute: Callable[[Any], Any]):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.compute(key)
+        return value
 
 
 class ExplorerConfig(NamedTuple):
@@ -126,6 +158,15 @@ class BoundedExplorer:
         self.inputs = list(inputs)
         self.n = topology.n
         self._neighbors = [topology.neighbors(p) for p in topology.processes()]
+        # Connected moves per working set, built on first use.
+        self._moves: Dict[Tuple[ProcessId, ...], Tuple[FrozenSet[ProcessId], ...]] = {}
+        # Transition functions, memoised per instance when the algorithm
+        # declares them pure.
+        self._register_value = algorithm.register_value
+        self._step = self._direct_step
+        if getattr(algorithm, "view_deterministic", False) is True:
+            self._register_value = _Memo(self._register_value).__getitem__
+            self._step = _Memo(self._step).__getitem__
 
     # ------------------------------------------------------------------
     # Transition system
@@ -142,29 +183,59 @@ class BoundedExplorer:
         )
 
     def moves(self, config: ExplorerConfig) -> Iterator[FrozenSet[ProcessId]]:
-        """All adversary moves: non-empty subsets of working processes."""
+        """All adversary moves up to commutation: the non-empty subsets
+        of working processes that induce a connected subgraph, smallest
+        first, then in lexicographic order."""
         working = config.working()
-        for size in range(1, len(working) + 1):
-            for subset in itertools.combinations(working, size):
-                yield frozenset(subset)
+        moves = self._moves.get(working)
+        if moves is None:
+            moves = self._moves[working] = self._connected_subsets(working)
+        return iter(moves)
+
+    def _connected_subsets(
+        self, working: Tuple[ProcessId, ...]
+    ) -> Tuple[FrozenSet[ProcessId], ...]:
+        """Every connected induced subgraph of ``working``, each grown
+        from its smallest member."""
+        allowed = set(working)
+        found = set()
+        for root in working:
+            stack = [frozenset((root,))]
+            while stack:
+                subset = stack.pop()
+                if subset in found:
+                    continue
+                found.add(subset)
+                for p in subset:
+                    for q in self._neighbors[p]:
+                        if q > root and q in allowed and q not in subset:
+                            stack.append(subset | {q})
+        return tuple(sorted(found, key=lambda subset: (len(subset), sorted(subset))))
 
     def apply(self, config: ExplorerConfig, subset: FrozenSet[ProcessId]) -> ExplorerConfig:
         """The configuration after simultaneously activating ``subset``.
 
         Mirrors the engine: all writes first, then all reads/updates.
         """
+        register_value, step = self._register_value, self._step
+        old_states = config.states
         registers = list(config.registers)
         for p in subset:
-            registers[p] = self.algorithm.register_value(config.states[p])
-        states = list(config.states)
+            registers[p] = register_value(old_states[p])
+        states = list(old_states)
         outputs = list(config.outputs)
         for p in subset:
-            views = tuple(registers[q] for q in self._neighbors[p])
-            outcome = self.algorithm.step(config.states[p], views)
-            states[p] = outcome.state
-            if outcome.returned:
-                outputs[p] = (_RETURNED, outcome.output)
+            states[p], marker = step(
+                (old_states[p], tuple(registers[q] for q in self._neighbors[p]))
+            )
+            if marker is not None:
+                outputs[p] = marker
         return ExplorerConfig(tuple(states), tuple(registers), tuple(outputs))
+
+    def _direct_step(self, key: Tuple[Any, Tuple[Any, ...]]) -> Tuple[Any, Any]:
+        """``step(state, views)`` as ``(new state, output marker)``."""
+        outcome = self.algorithm.step(*key)
+        return outcome.state, (_RETURNED, outcome.output) if outcome.returned else None
 
     # ------------------------------------------------------------------
     # Queries
@@ -210,8 +281,13 @@ class BoundedExplorer:
                         )
                     next_frontier.append((successor, witness))
             if not next_frontier:
+                description = (
+                    "no violation reachable" if exhausted else
+                    f"search truncated at max_configs={max_configs}: "
+                    "no violation among the configurations seen"
+                )
                 return SearchOutcome(
-                    None, "no violation reachable", exhausted=exhausted,
+                    None, description, exhausted=exhausted,
                     configs_seen=len(visited),
                 )
             frontier = next_frontier

@@ -158,6 +158,33 @@ def run_item_traced(
     }
 
 
+#: Seconds between two checks that the worker's parent is still alive.
+PARENT_POLL_S = 1.0
+
+
+def _exit_with_parent() -> None:
+    """End this worker process once its parent is gone.
+
+    A parent killed with SIGKILL never sends the ``None`` sentinel, so
+    without this the worker would block on its queue forever, adopted
+    by init.  A daemon thread compares ``os.getppid()`` with the pid of
+    the process that started the worker every :data:`PARENT_POLL_S`
+    seconds and exits when they differ; the task loop is untouched.
+    """
+    import multiprocessing
+    import os
+    import threading
+
+    parent_pid = multiprocessing.parent_process().pid
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="pool-parent-watch", daemon=True).start()
+
+
 def pool_worker_main(wid: int, task_q, result_q) -> None:
     """Worker loop: warm up once, then serve tasks until the sentinel.
 
@@ -175,6 +202,7 @@ def pool_worker_main(wid: int, task_q, result_q) -> None:
     """
     from repro.chaos.injector import ensure_worker_plan, maybe_fault
 
+    _exit_with_parent()
     warm_imports()
     plan = ensure_worker_plan(f"worker:{wid}")
     if plan is not None:

@@ -41,6 +41,21 @@ def cli_env():
     return env
 
 
+def processes_mentioning(text):
+    """Pids of live processes whose command line contains ``text``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if text.encode() in cmdline:
+            pids.append(int(entry.name))
+    return pids
+
+
 def run_cli(args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "repro.cli"] + args,
@@ -77,6 +92,14 @@ def test_sigkill_then_resume_matches_uninterrupted(tmp_path):
         time.sleep(0.02)
     proc.send_signal(signal.SIGKILL)
     proc.wait(timeout=30)
+
+    # The killed campaign's pool workers (forked, so they carry its
+    # command line) notice their parent is gone and exit.
+    if Path("/proc").is_dir():
+        deadline = time.monotonic() + 15
+        while processes_mentioning(str(journal)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert processes_mentioning(str(journal)) == [], "pool workers outlived their parent"
 
     journaled = journal.read_text().count("\n") - 1
     assert journaled < 60, "kill landed too late to exercise resume"

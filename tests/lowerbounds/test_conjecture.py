@@ -27,7 +27,7 @@ class TestConjectureEvidence:
         )
         assert outcome.found, f"{name} survived on C_{n}"
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_alg1_safe_with_six_colors_exhaustive(self, n):
         """The positive side at 6 colors: no safety violation reachable
         for Algorithm 1 (full pair palette encoded as 6 scalar codes)."""

@@ -23,9 +23,17 @@ class TestTransitionSystem:
         assert config.output_dict() == {}
 
     def test_moves_enumerate_nonempty_subsets(self):
-        explorer = BoundedExplorer(SixColoring(), Cycle(3), [1, 2, 3])
-        moves = list(explorer.moves(explorer.initial_config()))
-        assert len(moves) == 7  # 2^3 - 1
+        """Moves are the non-empty connected subsets of the working set."""
+        for n, expected in (
+            (3, 7),  # 2^3 - 1: every subset of a triangle is connected
+            (4, 13),  # 4 singletons, 4 edges, 4 three-arcs, the whole cycle
+            (6, 31),  # 6 arcs of each length 1..5, the whole cycle
+        ):
+            explorer = BoundedExplorer(SixColoring(), Cycle(n), list(range(1, n + 1)))
+            moves = list(explorer.moves(explorer.initial_config()))
+            assert len(moves) == len(set(moves)) == expected
+            assert frozenset({0, n - 1}) in moves  # arcs wrap around
+        assert frozenset({0, 2}) not in moves  # not an arc of C_6
 
     def test_moves_exclude_returned(self):
         explorer = BoundedExplorer(SixColoring(), Cycle(3), [1, 2, 3])
@@ -84,6 +92,16 @@ class TestFindViolation:
             SixColoring(), Cycle(3), [1, 2, 3], outcome.schedule(),
         )
         assert len(result.outputs) >= 2
+
+    def test_truncation_reported(self):
+        """Hitting ``max_configs`` is a truncated search, not a proof."""
+        explorer = BoundedExplorer(SixColoring(), Cycle(3), [1, 2, 3])
+        outcome = explorer.find_violation(lambda c: None, max_depth=100, max_configs=5)
+        assert not outcome.found
+        assert not outcome.exhausted
+        assert outcome.configs_seen == 5
+        assert "truncated" in outcome.description
+        assert "no violation reachable" not in outcome.description
 
     def test_schedule_raises_without_witness(self):
         explorer = BoundedExplorer(SixColoring(), Cycle(3), [1, 2, 3])
