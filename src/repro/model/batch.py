@@ -26,21 +26,22 @@ numpy is an *optional accelerator*: when it is importable (and not
 disabled via :data:`NUMPY_ENV_FLAG`) the batched kernels run fully
 vectorized, including a bank of CPython-identical Mersenne Twister
 streams (:class:`MTBatch`) so that Bernoulli activation masks match
-``random.Random`` double for double.  Without numpy the same lockstep
-driver runs over plain Python lists — slower, but dependency-free and
-bit-identical, so the core library still has no hard requirements.
+``random.Random`` double for double.  Without numpy — or with
+identifiers too large for the packed int64 layout — the pure tier runs
+each replica through its scalar kernel (:mod:`repro.model.kernels`),
+one after the other: slower, but dependency-free and bit-identical by
+construction, so the core library still has no hard requirements.
 
-Like the scalar kernels, batched kernels are looked up by *exact*
-algorithm type (:data:`BATCH_KERNELS`) and must decline (return
-``None``) whenever they cannot guarantee equivalence — unsupported
-topology degree, heterogeneous ablation flags, or (numpy tier only)
-identifiers too large for exact float64 bit-twiddling, in which case
-the pure-Python tier takes over automatically.
+Kernels come from the one registry of :mod:`repro.model.kernels`
+(exact algorithm type → register family) through its shared build
+path, which declines (``None``) whatever no kernel can guarantee
+equivalence for — mixed or unregistered algorithm types, unsupported
+topology degree, heterogeneous ablation flags.  This module supplies
+the family → numpy runner table (:data:`_RUNNERS`).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections.abc import Mapping as _MappingABC
 from functools import lru_cache
@@ -51,10 +52,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import ExecutionError
 from repro.model.execution import (
+    DEFAULT_IDLE_LIMIT,
     DEFAULT_MAX_TIME,
     ExecutionResult,
+    effective_idle_limit,
 )
-from repro.model.kernels import _degree2_arrays
+from repro.model.kernels import (
+    NUMPY_ENV_FLAG,
+    build_kernels,
+    load_numpy,
+    numpy_accelerated,
+)
 from repro.model.schedule import Schedule
 from repro.model.topology import Topology
 from repro.obs.metrics import active_registry, record_execution
@@ -66,39 +74,16 @@ __all__ = [
     "numpy_accelerated",
     "MTBatch",
     "batched_steps",
-    "BATCH_KERNELS",
-    "register_batch_kernel",
     "build_batch_kernel",
     "run_batch",
     "run_single_batch",
 ]
-
-#: Set this environment variable to a non-empty value (other than "0")
-#: to force the pure-Python fallback even when numpy is importable —
-#: the switch the no-numpy CI leg and the differential tests use.
-NUMPY_ENV_FLAG = "REPRO_BATCH_DISABLE_NUMPY"
 
 #: ``r = ∞`` sentinel of the numpy tier: the green-light counter lives
 #: in an int64 lane, and every real counter value is tiny, so a huge
 #: finite sentinel preserves all comparisons; it is translated back to
 #: ``math.inf`` when results are materialized.
 _INF64 = 1 << 62
-
-
-def load_numpy():
-    """The numpy module, or ``None`` (absent or explicitly disabled)."""
-    if os.environ.get(NUMPY_ENV_FLAG, "0") not in ("", "0"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - depends on environment
-        return None
-    return numpy
-
-
-def numpy_accelerated() -> bool:
-    """Whether batched kernels will use the numpy tier right now."""
-    return load_numpy() is not None
 
 
 # ----------------------------------------------------------------------
@@ -265,77 +250,56 @@ def batched_steps(schedules: Sequence[Schedule], n: int, flags: List[bool]):
 
 
 # ----------------------------------------------------------------------
-# Batched kernel registry
+# Building a batch kernel
 # ----------------------------------------------------------------------
-
-#: Exact algorithm type → batched kernel factory with signature
-#: ``factory(algorithms, topology, inputs_list) -> Optional[runner]``
-#: where ``runner(schedules, max_time, idle_limit)`` returns
-#: ``(results, stats)`` — one ``ExecutionResult`` per replica plus the
-#: occupancy statistics ``{"locksteps": int, "live_sum": int}``.
-BATCH_KERNELS: Dict[Type, Callable] = {}
-
-
-def register_batch_kernel(algorithm_type: Type):
-    """Class decorator registering ``factory`` for ``algorithm_type``."""
-
-    def decorate(factory: Callable) -> Callable:
-        BATCH_KERNELS[algorithm_type] = factory
-        return factory
-
-    return decorate
-
 
 def build_batch_kernel(
     algorithms: Sequence[Any], topology: Topology, inputs_list: Sequence[Sequence[Any]]
 ):
     """The batched runner for this replica ensemble, or ``None``.
 
-    Exact-type dispatch over the *shared* algorithm type; mixed types,
-    unregistered types and configurations the factory declines all
-    yield ``None`` (callers fall back to per-run execution).
+    ``runner(schedules, max_time, idle_limit)`` returns ``(results,
+    stats)`` — one ``ExecutionResult`` per replica plus the occupancy
+    statistics ``{"locksteps": int, "live_sum": int}``.  Mixed types,
+    unregistered types and configurations the shared build path
+    declines all yield ``None`` (callers fall back to per-run
+    execution).
     """
-    alg_type = type(algorithms[0])
-    if any(type(a) is not alg_type for a in algorithms[1:]):
+    built = build_kernels(algorithms, topology, inputs_list, vector=_RUNNERS)
+    if built is None:
         return None
-    factory = BATCH_KERNELS.get(alg_type)
-    if factory is None:
-        return None
-    return factory(algorithms, topology, inputs_list)
+    tier, kernel = built
+    return kernel if tier == "vector" else _scalar_replicas(kernel)
 
 
-def _ids_as_int64(np, inputs_list: Sequence[Sequence[Any]]):
-    """The identifiers as a ``(B, n)`` int64 array, or ``None``.
+def _scalar_replicas(kernels: List[Callable]):
+    """The pure tier: each replica through its scalar kernel in turn.
 
-    The numpy tier keeps identifiers in int64 lanes and derives bit
-    lengths through ``frexp``, which is exact only below ``2**53`` —
-    the ``huge`` input family (256-bit ids) must take the pure tier,
-    as must any non-integer identifiers (which numpy would silently
-    coerce; ``bool`` is fine, ``True == 1`` survives the round trip).
+    Bit-identical by construction.  Occupancy is reported as if the
+    replicas had run in lockstep: ``max`` of the final times is the
+    lockstep count, their sum the live replica-steps.
     """
-    try:
-        raw = np.asarray(inputs_list)
-    except (OverflowError, TypeError, ValueError):
-        return None
-    if raw.dtype != np.bool_ and not np.issubdtype(raw.dtype, np.integer):
-        return None
-    arr = raw.astype(np.int64)
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= 1 << 53):
-        return None
-    return arr
+
+    def run(schedules, max_time, idle_limit):
+        results = [
+            kernel(schedule, max_time, idle_limit)
+            for kernel, schedule in zip(kernels, schedules)
+        ]
+        times = [result.final_time for result in results]
+        return results, {"locksteps": max(times), "live_sum": sum(times)}
+
+    return run
 
 
 def _row_to_ids(row: Any) -> Sequence[int]:
-    """Normalize a steps_batch row to an id sequence (pure tier)."""
+    """Normalize a steps_batch row (id sequence or bool mask) to ids."""
     if isinstance(row, (list, tuple, range, frozenset, set)):
         return row
-    # A numpy mask row (Bernoulli may vectorize even when the kernel
-    # itself runs the pure tier, e.g. under huge identifiers).
     return row.nonzero()[0].tolist()
 
 
 # ----------------------------------------------------------------------
-# Lockstep drivers (bookkeeping shared by all kernel families)
+# Lockstep driver (bookkeeping shared by both kernel families)
 # ----------------------------------------------------------------------
 
 def _drive_numpy(np, schedules, n, B, max_time, idle_limit, undone,
@@ -415,56 +379,6 @@ def _drive_numpy(np, schedules, n, B, max_time, idle_limit, undone,
         step_cells(flat, flat // N1, tvec)
         for b in stepping:
             if wc[b] and remaining[b] == 0:
-                flags[b] = False
-                live -= 1
-    return times, exhausted, {"locksteps": locksteps, "live_sum": live_sum}
-
-
-def _drive_pure(schedules, n, B, max_time, idle_limit, done, remaining,
-                step_one):
-    """Pure-Python lockstep driver: same clockwork over plain lists.
-
-    ``step_one(b, working, time)`` executes one replica's step and
-    returns how many of its processes returned; ``done[b]`` /
-    ``remaining[b]`` are maintained here.
-    """
-    flags = [True] * B
-    times = [0] * B
-    idle = [0] * B
-    exhausted = [False] * B
-    live = B
-    locksteps = 0
-    live_sum = 0
-    merged = batched_steps(schedules, n, flags)
-    while live:
-        rows = next(merged)
-        locksteps += 1
-        live_sum += live
-        for b in range(B):
-            if not flags[b]:
-                continue
-            row = rows[b]
-            if row is None:
-                flags[b] = False
-                live -= 1
-                continue
-            if times[b] >= max_time:
-                exhausted[b] = True
-                flags[b] = False
-                live -= 1
-                continue
-            times[b] += 1
-            done_b = done[b]
-            working = [p for p in _row_to_ids(row) if not done_b[p]]
-            if not working:
-                idle[b] += 1
-                if idle_limit and idle[b] >= idle_limit:
-                    flags[b] = False
-                    live -= 1
-                continue
-            idle[b] = 0
-            remaining[b] -= step_one(b, working, times[b])
-            if remaining[b] == 0:
                 flags[b] = False
                 live -= 1
     return times, exhausted, {"locksteps": locksteps, "live_sum": live_sum}
@@ -577,46 +491,15 @@ def _rid_np(np, x, y):
 # Algorithms 2 and 3, batched: the (x, a, b[, r]) register family
 # ----------------------------------------------------------------------
 
-def _make_batch_ab_kernel(algorithms, topology, inputs_list, *, reduction):
+def _numpy_ab_runner(np, nb1, nb2, init_x, *, reduction,
+                     green_light=True, guarded_adoption=True):
     """Batched fused loop for Algorithm 2 / Algorithm 3 replicas."""
-    arrays = _degree2_arrays(topology)
-    if arrays is None:
-        return None
-    nb1, nb2 = arrays
-    n = topology.n
-    green_light = guarded_adoption = True
-    if reduction:
-        green_light = algorithms[0].green_light
-        guarded_adoption = algorithms[0].guarded_adoption
-        for alg in algorithms[1:]:
-            if (alg.green_light != green_light
-                    or alg.guarded_adoption != guarded_adoption):
-                return None
-
-    np = load_numpy()
-    if np is not None:
-        init_x = _ids_as_int64(np, inputs_list)
-        if init_x is not None:
-            return _numpy_ab_runner(
-                np, len(algorithms), n, nb1, nb2, init_x,
-                reduction=reduction, green_light=green_light,
-                guarded_adoption=guarded_adoption,
-            )
-    return _pure_ab_runner(
-        len(algorithms), n, nb1, nb2, inputs_list,
-        reduction=reduction, green_light=green_light,
-        guarded_adoption=guarded_adoption,
-    )
-
-
-def _numpy_ab_runner(np, B, n, nb1, nb2, init_x, *, reduction,
-                     green_light, guarded_adoption):
     # State and register planes are flat int64 arrays of length
     # ``B × (n + 1)``: cell (b, p) lives at ``b·(n+1) + p`` and column
     # ``n`` of every replica is a permanent sentinel cell standing in
     # for absent *and* not-yet-awake neighbors.  The whole (x, a, b)
     # triple is packed into one word, ``x << 6 | a << 3 | b`` — ids are
-    # < 2⁵³ (gated by :func:`_ids_as_int64`) and colors are ≤ 4, so
+    # < 2⁵³ (gated by the shared build path) and colors are ≤ 4, so
     # each field is exact and the register sentinel −1 unpacks under
     # arithmetic shifts to x = −1, a = b = 7, values no real state can
     # take: awakeness reduces to ``x1 >= 0``, a color never equals 7,
@@ -631,6 +514,7 @@ def _numpy_ab_runner(np, B, n, nb1, nb2, init_x, *, reduction,
     from repro.core.coloring5 import FiveState
     from repro.core.fast_coloring5 import FastState, INFINITE_ROUND
 
+    B, n = init_x.shape
     N1 = n + 1
     size = B * N1
     nb1a = np.asarray(nb1, dtype=np.int64)
@@ -814,191 +698,13 @@ def _numpy_ab_runner(np, B, n, nb1, nb2, init_x, *, reduction,
     return run
 
 
-def _pure_ab_runner(B, n, nb1, nb2, inputs_list, *, reduction, green_light,
-                    guarded_adoption):
-    from repro.core.coin_tossing import reduce_identifier
-    from repro.core.coloring5 import FiveState
-    from repro.core.fast_coloring5 import FastState, INFINITE_ROUND
-
-    INF = INFINITE_ROUND
-
-    def run(schedules, max_time, idle_limit):
-        st_x = [list(inputs) for inputs in inputs_list]
-        st_a = [[0] * n for _ in range(B)]
-        st_b = [[0] * n for _ in range(B)]
-        st_r: List[List[Any]] = [[0] * n for _ in range(B)]
-        rg_x = [[0] * n for _ in range(B)]
-        rg_a = [[0] * n for _ in range(B)]
-        rg_b = [[0] * n for _ in range(B)]
-        rg_r: List[List[Any]] = [[0] * n for _ in range(B)]
-        rg_w = [[False] * n for _ in range(B)]
-        done = [[False] * n for _ in range(B)]
-        outputs: List[Dict[int, Any]] = [{} for _ in range(B)]
-        return_times: List[Dict[int, int]] = [{} for _ in range(B)]
-        activations = [[0] * n for _ in range(B)]
-        remaining = [n] * B
-
-        def step_one(bi, working, time):
-            sx, sa, sb, sr = st_x[bi], st_a[bi], st_b[bi], st_r[bi]
-            gx, ga, gb, gr, gw = (
-                rg_x[bi], rg_a[bi], rg_b[bi], rg_r[bi], rg_w[bi]
-            )
-            dn, outs, rts, acts = (
-                done[bi], outputs[bi], return_times[bi], activations[bi]
-            )
-            returned = 0
-            for p in working:
-                gx[p] = sx[p]
-                ga[p] = sa[p]
-                gb[p] = sb[p]
-                if reduction:
-                    gr[p] = sr[p]
-                gw[p] = True
-            for p in working:
-                acts[p] += 1
-                x = sx[p]
-                a = sa[p]
-                b = sb[p]
-                q1 = nb1[p]
-                q2 = nb2[p]
-                w1 = q1 >= 0 and gw[q1]
-                w2 = q2 >= 0 and gw[q2]
-                if w1 and w2:
-                    a1 = ga[q1]; b1 = gb[q1]
-                    a2 = ga[q2]; b2 = gb[q2]
-                    if a != a1 and a != b1 and a != a2 and a != b2:
-                        outs[p] = a; rts[p] = time
-                        dn[p] = True; returned += 1
-                        continue
-                    if b != a1 and b != b1 and b != a2 and b != b2:
-                        outs[p] = b; rts[p] = time
-                        dn[p] = True; returned += 1
-                        continue
-                    taken_all = {a1, b1, a2, b2}
-                    taken_higher = set()
-                    if gx[q1] > x:
-                        taken_higher.add(a1); taken_higher.add(b1)
-                    if gx[q2] > x:
-                        taken_higher.add(a2); taken_higher.add(b2)
-                elif w1 or w2:
-                    q = q1 if w1 else q2
-                    aq = ga[q]; bq = gb[q]
-                    if a != aq and a != bq:
-                        outs[p] = a; rts[p] = time
-                        dn[p] = True; returned += 1
-                        continue
-                    if b != aq and b != bq:
-                        outs[p] = b; rts[p] = time
-                        dn[p] = True; returned += 1
-                        continue
-                    taken_all = {aq, bq}
-                    taken_higher = {aq, bq} if gx[q] > x else set()
-                else:
-                    outs[p] = a; rts[p] = time
-                    dn[p] = True; returned += 1
-                    continue
-
-                v = 0
-                while v in taken_higher:
-                    v += 1
-                sa[p] = v
-                v = 0
-                while v in taken_all:
-                    v += 1
-                sb[p] = v
-
-                if reduction and w1 and w2:
-                    r = sr[p]
-                    if r < INF:
-                        r1 = gr[q1]; r2 = gr[q2]
-                        if r <= (r1 if r1 < r2 else r2) or not green_light:
-                            x1 = gx[q1]; x2 = gx[q2]
-                            lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-                            if lo < x < hi:
-                                sr[p] = r + 1
-                                candidate = reduce_identifier(x, lo)
-                                if candidate < lo or not guarded_adoption:
-                                    sx[p] = candidate
-                            else:
-                                sr[p] = INF
-                                if x < lo:
-                                    f1 = reduce_identifier(x1, x)
-                                    f2 = reduce_identifier(x2, x)
-                                    v = 0
-                                    while v == f1 or v == f2:
-                                        v += 1
-                                    if v < x:
-                                        sx[p] = v
-            return returned
-
-        times, exhausted, stats = _drive_pure(
-            schedules, n, B, max_time, idle_limit, done, remaining, step_one
-        )
-
-        results = []
-        for bi in range(B):
-            if reduction:
-                final_states = {
-                    p: FastState(
-                        x=st_x[bi][p], r=st_r[bi][p],
-                        a=st_a[bi][p], b=st_b[bi][p],
-                    )
-                    for p in range(n)
-                }
-            else:
-                final_states = {
-                    p: FiveState(x=st_x[bi][p], a=st_a[bi][p], b=st_b[bi][p])
-                    for p in range(n)
-                }
-            results.append(ExecutionResult(
-                n=n,
-                outputs=outputs[bi],
-                activations={p: activations[bi][p] for p in range(n)},
-                return_times=return_times[bi],
-                final_time=times[bi],
-                time_exhausted=exhausted[bi],
-                trace=None,
-                final_states=final_states,
-            ))
-        return results, stats
-
-    return run
-
-
 # ----------------------------------------------------------------------
 # Algorithms 1 and fast-6, batched: the (x, (a, b) pair[, r]) family
 # ----------------------------------------------------------------------
 
-def _make_batch_pair_kernel(algorithms, topology, inputs_list, *, reduction):
+def _numpy_pair_runner(np, nb1, nb2, init_x, *, reduction,
+                       green_light=True):
     """Batched fused loop for Algorithm 1 / fast-six replicas."""
-    arrays = _degree2_arrays(topology)
-    if arrays is None:
-        return None
-    nb1, nb2 = arrays
-    n = topology.n
-    green_light = True
-    if reduction:
-        green_light = algorithms[0].green_light
-        for alg in algorithms[1:]:
-            if alg.green_light != green_light:
-                return None
-
-    np = load_numpy()
-    if np is not None:
-        init_x = _ids_as_int64(np, inputs_list)
-        if init_x is not None:
-            return _numpy_pair_runner(
-                np, len(algorithms), n, nb1, nb2, init_x,
-                reduction=reduction, green_light=green_light,
-            )
-    return _pure_pair_runner(
-        len(algorithms), n, nb1, nb2, inputs_list,
-        reduction=reduction, green_light=green_light,
-    )
-
-
-def _numpy_pair_runner(np, B, n, nb1, nb2, init_x, *, reduction,
-                       green_light):
     # Same packed flat ``B × (n + 1)`` plane layout as the ab family
     # (see :func:`_numpy_ab_runner`): one int64 word ``x << 6 | a << 3
     # | b`` per cell, sentinel −1 unpacking to x = −1, a = b = 7 — a
@@ -1008,6 +714,7 @@ def _numpy_pair_runner(np, B, n, nb1, nb2, init_x, *, reduction,
     from repro.core.coloring6 import SixState
     from repro.extensions.fast_six import FastSixState, INFINITE_ROUND
 
+    B, n = init_x.shape
     N1 = n + 1
     size = B * N1
     nb1a = np.asarray(nb1, dtype=np.int64)
@@ -1188,171 +895,8 @@ def _numpy_pair_runner(np, B, n, nb1, nb2, init_x, *, reduction,
     return run
 
 
-def _pure_pair_runner(B, n, nb1, nb2, inputs_list, *, reduction, green_light):
-    from repro.core.coin_tossing import reduce_identifier
-    from repro.core.coloring6 import SixState
-    from repro.extensions.fast_six import FastSixState, INFINITE_ROUND
-
-    INF = INFINITE_ROUND
-
-    def run(schedules, max_time, idle_limit):
-        st_x = [list(inputs) for inputs in inputs_list]
-        st_a = [[0] * n for _ in range(B)]
-        st_b = [[0] * n for _ in range(B)]
-        st_r: List[List[Any]] = [[0] * n for _ in range(B)]
-        rg_x = [[0] * n for _ in range(B)]
-        rg_a = [[0] * n for _ in range(B)]
-        rg_b = [[0] * n for _ in range(B)]
-        rg_r: List[List[Any]] = [[0] * n for _ in range(B)]
-        rg_w = [[False] * n for _ in range(B)]
-        done = [[False] * n for _ in range(B)]
-        outputs: List[Dict[int, Any]] = [{} for _ in range(B)]
-        return_times: List[Dict[int, int]] = [{} for _ in range(B)]
-        activations = [[0] * n for _ in range(B)]
-        remaining = [n] * B
-
-        def step_one(bi, working, time):
-            sx, sa, sb, sr = st_x[bi], st_a[bi], st_b[bi], st_r[bi]
-            gx, ga, gb, gr, gw = (
-                rg_x[bi], rg_a[bi], rg_b[bi], rg_r[bi], rg_w[bi]
-            )
-            dn, outs, rts, acts = (
-                done[bi], outputs[bi], return_times[bi], activations[bi]
-            )
-            returned = 0
-            for p in working:
-                gx[p] = sx[p]
-                ga[p] = sa[p]
-                gb[p] = sb[p]
-                if reduction:
-                    gr[p] = sr[p]
-                gw[p] = True
-            for p in working:
-                acts[p] += 1
-                x = sx[p]
-                a = sa[p]
-                b = sb[p]
-                q1 = nb1[p]
-                q2 = nb2[p]
-                w1 = q1 >= 0 and gw[q1]
-                w2 = q2 >= 0 and gw[q2]
-                clash = (
-                    (w1 and a == ga[q1] and b == gb[q1])
-                    or (w2 and a == ga[q2] and b == gb[q2])
-                )
-                if not clash:
-                    outs[p] = (a, b); rts[p] = time
-                    dn[p] = True; returned += 1
-                    continue
-
-                h1 = ga[q1] if w1 and gx[q1] > x else -1
-                h2 = ga[q2] if w2 and gx[q2] > x else -1
-                v = 0
-                while v == h1 or v == h2:
-                    v += 1
-                new_a = v
-                l1 = gb[q1] if w1 and gx[q1] < x else -1
-                l2 = gb[q2] if w2 and gx[q2] < x else -1
-                v = 0
-                while v == l1 or v == l2:
-                    v += 1
-                sa[p] = new_a
-                sb[p] = v
-
-                if reduction and w1 and w2:
-                    r = sr[p]
-                    if r < INF:
-                        r1 = gr[q1]; r2 = gr[q2]
-                        if r <= (r1 if r1 < r2 else r2) or not green_light:
-                            x1 = gx[q1]; x2 = gx[q2]
-                            lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-                            if lo < x < hi:
-                                sr[p] = r + 1
-                                candidate = reduce_identifier(x, lo)
-                                if candidate < lo:
-                                    sx[p] = candidate
-                            else:
-                                sr[p] = INF
-                                if x < lo:
-                                    f1 = reduce_identifier(x1, x)
-                                    f2 = reduce_identifier(x2, x)
-                                    v = 0
-                                    while v == f1 or v == f2:
-                                        v += 1
-                                    if v < x:
-                                        sx[p] = v
-            return returned
-
-        times, exhausted, stats = _drive_pure(
-            schedules, n, B, max_time, idle_limit, done, remaining, step_one
-        )
-
-        results = []
-        for bi in range(B):
-            if reduction:
-                final_states = {
-                    p: FastSixState(
-                        x=st_x[bi][p], r=st_r[bi][p],
-                        a=st_a[bi][p], b=st_b[bi][p],
-                    )
-                    for p in range(n)
-                }
-            else:
-                final_states = {
-                    p: SixState(x=st_x[bi][p], a=st_a[bi][p], b=st_b[bi][p])
-                    for p in range(n)
-                }
-            results.append(ExecutionResult(
-                n=n,
-                outputs=outputs[bi],
-                activations={p: activations[bi][p] for p in range(n)},
-                return_times=return_times[bi],
-                final_time=times[bi],
-                time_exhausted=exhausted[bi],
-                trace=None,
-                final_states=final_states,
-            ))
-        return results, stats
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# Registrations
-# ----------------------------------------------------------------------
-
-def _register_builtin_batch_kernels() -> None:
-    from repro.core.coloring5 import FiveColoring
-    from repro.core.coloring6 import SixColoring
-    from repro.core.fast_coloring5 import FastFiveColoring
-    from repro.extensions.fast_six import FastSixColoring
-
-    @register_batch_kernel(FiveColoring)
-    def _alg2_batch(algorithms, topology, inputs_list):
-        return _make_batch_ab_kernel(
-            algorithms, topology, inputs_list, reduction=False
-        )
-
-    @register_batch_kernel(FastFiveColoring)
-    def _alg3_batch(algorithms, topology, inputs_list):
-        return _make_batch_ab_kernel(
-            algorithms, topology, inputs_list, reduction=True
-        )
-
-    @register_batch_kernel(SixColoring)
-    def _alg1_batch(algorithms, topology, inputs_list):
-        return _make_batch_pair_kernel(
-            algorithms, topology, inputs_list, reduction=False
-        )
-
-    @register_batch_kernel(FastSixColoring)
-    def _fast6_batch(algorithms, topology, inputs_list):
-        return _make_batch_pair_kernel(
-            algorithms, topology, inputs_list, reduction=True
-        )
-
-
-_register_builtin_batch_kernels()
+#: Family → numpy runner, for :func:`repro.model.kernels.build_kernels`.
+_RUNNERS = {"ab": _numpy_ab_runner, "pair": _numpy_pair_runner}
 
 
 # ----------------------------------------------------------------------
@@ -1366,7 +910,7 @@ def run_batch(
     schedules: Sequence[Schedule],
     *,
     max_time: int = DEFAULT_MAX_TIME,
-    idle_limit: int = 10_000,
+    idle_limit: int = DEFAULT_IDLE_LIMIT,
 ) -> Optional[List[ExecutionResult]]:
     """Run ``B`` replicas of one configuration in lockstep.
 
@@ -1380,8 +924,9 @@ def run_batch(
 
     Ragged shapes are handled per replica: each retires independently
     on termination, schedule exhaustion, ``max_time`` (its own clock)
-    or the idle cutoff, and its schedule stream stops being consumed
-    from that point on.
+    or the idle cutoff (:func:`~repro.model.execution.
+    effective_idle_limit`), and its schedule stream stops being
+    consumed from that point on.
     """
     B = len(algorithms)
     if B == 0:
@@ -1401,6 +946,7 @@ def run_batch(
     kernel = build_batch_kernel(algorithms, topology, inputs_list)
     if kernel is None:
         return None
+    idle_limit = effective_idle_limit(idle_limit, n)
     registry = active_registry()
     if registry is None and not is_recording():
         results, _stats = kernel(schedules, max_time, idle_limit)
@@ -1435,7 +981,7 @@ def run_single_batch(
     schedule: Schedule,
     *,
     max_time: int = DEFAULT_MAX_TIME,
-    idle_limit: int = 10_000,
+    idle_limit: int = DEFAULT_IDLE_LIMIT,
 ) -> Optional[ExecutionResult]:
     """One replica through the batch engine (B = 1), or ``None``."""
     results = run_batch(

@@ -44,6 +44,8 @@ __all__ = [
     "Executor",
     "ExecutionResult",
     "ENGINES",
+    "DEFAULT_IDLE_LIMIT",
+    "effective_idle_limit",
     "ensure_engine",
     "run_execution",
     "time_exhausted_error",
@@ -52,6 +54,22 @@ __all__ = [
 #: Default safety cap on simulated time, so a buggy non-terminating
 #: algorithm under an infinite schedule fails fast instead of hanging.
 DEFAULT_MAX_TIME = 1_000_000
+
+#: Default idle cut-off: the number of consecutive steps activating no
+#: working process after which a run is abandoned (see
+#: :func:`effective_idle_limit`).
+DEFAULT_IDLE_LIMIT = 10_000
+
+
+def effective_idle_limit(idle_limit: int, n: int) -> int:
+    """The idle cut-off every engine applies on a system of ``n``.
+
+    A fair schedule may legitimately go ``n − 1`` consecutive steps
+    without activating a working process — round-robin does, with one
+    process left — so the cut-off is never below ``n``: a run that
+    would terminate is not abandoned.  ``0`` disables the cut-off.
+    """
+    return max(idle_limit, n) if idle_limit else 0
 
 
 @dataclass
@@ -190,7 +208,7 @@ class Executor:
         self,
         schedule: Schedule,
         max_time: int = DEFAULT_MAX_TIME,
-        idle_limit: int = 10_000,
+        idle_limit: int = DEFAULT_IDLE_LIMIT,
         *,
         monitors: Optional[Sequence[Any]] = None,
         raise_on_exhaustion: bool = False,
@@ -200,11 +218,14 @@ class Executor:
         The run stops as soon as every process has returned, when the
         schedule is exhausted, or when ``max_time`` steps have been
         simulated — whichever comes first.  As a simulation cutoff (not
-        part of the model), the run also stops after ``idle_limit``
-        consecutive steps in which no working process was activated:
-        under such a schedule suffix nothing can ever change, so the
-        remaining processes are starved forever.  Pass ``idle_limit=0``
-        to disable the cutoff.
+        part of the model), the run also stops after
+        ``effective_idle_limit(idle_limit, n)`` consecutive steps in
+        which no working process was activated.  This is a heuristic:
+        the schedule may still activate a working process later, and
+        the run is then abandoned although it could have changed.  The
+        cut-off is never below ``n``, so the longest idle gap a fair
+        schedule such as round-robin leaves (``n − 1`` steps) never
+        triggers it.  Pass ``idle_limit=0`` to disable the cutoff.
 
         ``monitors`` is an optional sequence of
         :class:`repro.obs.monitors.BoundMonitor`-like observers driven
@@ -221,6 +242,7 @@ class Executor:
         topo = self.topology
         alg = self.algorithm
         n = topo.n
+        idle_limit = effective_idle_limit(idle_limit, n)
 
         registry = active_registry()
         observing = registry is not None or is_recording()

@@ -56,8 +56,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.model.execution import (
+    DEFAULT_IDLE_LIMIT,
     DEFAULT_MAX_TIME,
     ExecutionResult,
+    effective_idle_limit,
     time_exhausted_error,
 )
 from repro.model.registers import RegisterFile
@@ -112,7 +114,7 @@ class FastExecutor:
         self,
         schedule: Schedule,
         max_time: int = DEFAULT_MAX_TIME,
-        idle_limit: int = 10_000,
+        idle_limit: int = DEFAULT_IDLE_LIMIT,
         *,
         monitors: Optional[Sequence[Any]] = None,
         raise_on_exhaustion: bool = False,
@@ -125,6 +127,7 @@ class FastExecutor:
         kernel inner loops stay untouched and the disabled-mode cost is
         one registry check per *run*.
         """
+        idle_limit = effective_idle_limit(idle_limit, self.topology.n)
         if self._kernel is not None and not monitors:
             registry = active_registry()
             observing = registry is not None or is_recording()

@@ -1,85 +1,230 @@
-"""Compiled per-algorithm kernels for the fast-path engine.
+"""The kernel registry, the shared build path, and the scalar kernels.
 
-A *kernel* is the engine's inner loop and one algorithm's ``step``
+A *kernel* is an engine's inner loop and one algorithm's ``step``
 fused into a single function over parallel arrays of plain ints — no
 ``NamedTuple`` states, no register payload tuples, no ``StepOutcome``
-wrappers, no per-activation attribute lookups.  The "compilation"
-happens once, in the kernel factory: neighbor ids are unpacked into
-flat arrays, algorithm parameters (ablation flags) are bound into
-locals, and the degree-≤2 structure of the cycle/path topologies is
-specialized away.
+wrappers, no per-activation attribute lookups.  Three engines run
+kernels: ``fast`` (the scalar kernels defined here), ``batch``
+(:mod:`repro.model.batch`, lockstep across replicas) and ``wide``
+(:mod:`repro.model.wide`, vectorized across the nodes of one run).
+
+**One registry.**  :data:`KERNELS` maps an *exact* algorithm type to
+its :class:`KernelFamily` — the register family (``"ab"`` for
+Algorithms 2 and 3, ``"pair"`` for Algorithm 1 and fast-six) and
+whether the identifier-reduction block is compiled in.  A subclass may
+override ``step`` and silently change semantics, so it never matches.
+The registry names no engine module: the batch and wide runners are
+imported only when those engines run, so asking "is there a kernel?"
+(:mod:`repro.model.select`) never imports numpy.
+
+**One build path.**  :func:`build_kernels` is the preamble every
+engine shares: the degree-≤2 decline (:func:`_degree2_arrays`), the
+ablation flags (which must agree across batch replicas), the numpy
+gate (:func:`load_numpy` and the exact-int64 identifier check) and the
+scalar fallback.  Without numpy, or with identifiers that do not fit
+the packed int64 layout, the batch and wide engines run each replica
+through its scalar kernel — bit-identical by construction.
 
 Correctness discipline: a kernel must reproduce the reference engine's
 :class:`~repro.model.execution.ExecutionResult` *bit-identically* —
 outputs, activation counts, return times, final time, the
-``time_exhausted`` flag and the per-process final states.  Every kernel
-registered here is pinned by the differential equivalence harness
-(``tests/model/test_fastpath_equivalence.py``); a kernel that cannot
-guarantee equivalence for a given configuration must decline (return
-``None``) so the generic fast path takes over.
-
-Kernels are looked up by *exact* algorithm type — a subclass may
-override ``step`` and silently change semantics, so it never matches.
-Third-party algorithms can register their own kernels with
-:func:`register_kernel`.
+``time_exhausted`` flag and the per-process final states — pinned by
+``tests/model/test_fastpath_equivalence.py`` and
+``tests/model/test_batch_equivalence.py``.  A configuration no kernel
+can guarantee equivalence for is declined (``None``) and the generic
+fast path takes over.
 """
 
 from __future__ import annotations
 
+import os
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple, Type,
+)
 
 from repro.model.execution import ExecutionResult
 from repro.model.topology import Topology
 from repro.obs.metrics import active_registry
 from repro.obs.spans import span
 
-__all__ = ["register_kernel", "build_kernel", "KERNELS"]
+__all__ = [
+    "NUMPY_ENV_FLAG",
+    "load_numpy",
+    "numpy_accelerated",
+    "KernelFamily",
+    "KERNELS",
+    "register_kernel",
+    "build_kernels",
+    "build_kernel",
+]
 
-#: Exact algorithm type → kernel factory.  A factory has signature
-#: ``factory(algorithm, topology, inputs) -> Optional[runner]`` where
-#: ``runner(schedule, max_time, idle_limit) -> ExecutionResult``; it
-#: returns ``None`` when it cannot guarantee equivalence for this
-#: configuration (e.g. unsupported topology degree).
-KERNELS: Dict[Type, Callable] = {}
-
-
-def register_kernel(algorithm_type: Type):
-    """Class decorator registering ``factory`` for ``algorithm_type``."""
-
-    def decorate(factory: Callable) -> Callable:
-        KERNELS[algorithm_type] = factory
-        return factory
-
-    return decorate
+#: Set this environment variable to a non-empty value (other than "0")
+#: to keep the batch and wide engines off numpy even when it is
+#: importable — the switch the no-numpy CI leg and the tier tests use.
+NUMPY_ENV_FLAG = "REPRO_BATCH_DISABLE_NUMPY"
 
 
-def build_kernel(algorithm, topology: Topology, inputs: List[Any]):
-    """The compiled runner for this configuration, or ``None``.
-
-    Exact-type dispatch: subclasses never match (their overridden
-    methods could change semantics under the kernel's feet).
-    """
-    alg_name = type(algorithm).__name__
-    factory = KERNELS.get(type(algorithm))
-    if factory is None:
-        registry = active_registry()
-        if registry is not None:
-            registry.inc(
-                "engine_kernel_builds_total", 1,
-                algorithm=alg_name, outcome="unregistered",
-            )
+def load_numpy():
+    """The numpy module, or ``None`` (absent or explicitly disabled)."""
+    if os.environ.get(NUMPY_ENV_FLAG, "0") not in ("", "0"):
         return None
-    with span("engine_kernel_build", algorithm=alg_name):
-        kernel = factory(algorithm, topology, inputs)
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - depends on environment
+        return None
+    return numpy
+
+
+def numpy_accelerated() -> bool:
+    """Whether the batch and wide engines will use numpy right now."""
+    return load_numpy() is not None
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+
+#: Ablation flags each family's identifier-reduction block reads off
+#: the algorithm instance (absent flags mean the unablated algorithm).
+_ABLATION_FLAGS: Dict[str, Tuple[str, ...]] = {
+    "ab": ("green_light", "guarded_adoption"),
+    "pair": ("green_light",),
+}
+
+
+class KernelFamily(NamedTuple):
+    """How every engine runs one algorithm type."""
+
+    family: str             #: ``"ab"`` or ``"pair"``
+    reduction: bool = False  #: identifier-reduction block compiled in
+
+    @property
+    def flags(self) -> Tuple[str, ...]:
+        """The ablation attributes this kernel binds at build time."""
+        return _ABLATION_FLAGS[self.family] if self.reduction else ()
+
+
+#: Exact algorithm type → :class:`KernelFamily`.
+KERNELS: Dict[Type, KernelFamily] = {}
+
+
+def register_kernel(algorithm_type: Type, family: str, *,
+                    reduction: bool = False) -> None:
+    """Run ``algorithm_type`` on the shipped kernels of ``family``.
+
+    For algorithms whose ``step`` is exactly one of the shipped
+    families' (e.g. a renamed copy); every engine picks it up.
+    """
+    if family not in _ABLATION_FLAGS:
+        raise ValueError(
+            f"unknown kernel family {family!r} "
+            f"(known: {', '.join(sorted(_ABLATION_FLAGS))})"
+        )
+    KERNELS[algorithm_type] = KernelFamily(family, reduction)
+
+
+# ----------------------------------------------------------------------
+# The shared build path
+# ----------------------------------------------------------------------
+
+def _ids_as_int64(np, inputs_list: Sequence[Sequence[Any]]):
+    """The identifiers as a ``(B, n)`` int64 array, or ``None``.
+
+    The numpy runners keep identifiers in int64 lanes and derive bit
+    lengths through ``frexp``, which is exact only below ``2**53`` —
+    the ``huge`` input family (256-bit ids) must take the scalar tier,
+    as must any non-integer identifiers (which numpy would silently
+    coerce; ``bool`` is fine, ``True == 1`` survives the round trip).
+    """
+    try:
+        raw = np.asarray(inputs_list)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    if raw.dtype != np.bool_ and not np.issubdtype(raw.dtype, np.integer):
+        return None
+    arr = raw.astype(np.int64)
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= 1 << 53):
+        return None
+    return arr
+
+
+def _count_build(alg_name: str, outcome: str) -> None:
     registry = active_registry()
     if registry is not None:
         registry.inc(
             "engine_kernel_builds_total", 1,
-            algorithm=alg_name,
-            outcome="compiled" if kernel is not None else "declined",
+            algorithm=alg_name, outcome=outcome,
         )
-    return kernel
+
+
+def build_kernels(
+    algorithms: Sequence[Any],
+    topology: Topology,
+    inputs_list: Sequence[Sequence[Any]],
+    vector: Optional[Mapping[str, Callable]] = None,
+):
+    """Build one configuration's kernels: ``(tier, kernel)`` or ``None``.
+
+    Replica ``i`` is ``(algorithms[i], inputs_list[i])`` over the
+    shared ``topology``.  Declines (``None``) when the algorithms do
+    not share one registered exact type, the topology has a node of
+    degree > 2, or the replicas' ablation flags differ.
+
+    ``vector`` is the calling engine's family → numpy runner table.
+    When it is given, numpy is on and the identifiers fit int64 lanes,
+    the result is ``("vector", vector[family](np, nb1, nb2, ids,
+    reduction=…, **flags))`` with ``ids`` the ``(B, n)`` identifier
+    array.  Otherwise it is ``("scalar", kernels)``, one scalar kernel
+    per replica.
+    """
+    alg_type = type(algorithms[0])
+    alg_name = alg_type.__name__
+    entry = KERNELS.get(alg_type)
+    if entry is None:
+        _count_build(alg_name, "unregistered")
+        return None
+    with span("engine_kernel_build", algorithm=alg_name):
+        built = _build(entry, algorithms, topology, inputs_list, vector)
+    _count_build(alg_name, "compiled" if built is not None else "declined")
+    return built
+
+
+def _build(entry, algorithms, topology, inputs_list, vector):
+    alg_type = type(algorithms[0])
+    if any(type(a) is not alg_type for a in algorithms[1:]):
+        return None
+    arrays = _degree2_arrays(topology)
+    if arrays is None:
+        return None
+    flags = {name: getattr(algorithms[0], name) for name in entry.flags}
+    for alg in algorithms[1:]:
+        if any(getattr(alg, name) != value for name, value in flags.items()):
+            return None
+    nb1, nb2 = arrays
+    if vector is not None:
+        np = load_numpy()
+        if np is not None:
+            ids = _ids_as_int64(np, inputs_list)
+            if ids is not None:
+                return "vector", vector[entry.family](
+                    np, nb1, nb2, ids, reduction=entry.reduction, **flags
+                )
+    scalar = _SCALAR_KERNELS[entry.family]
+    return "scalar", [
+        scalar(nb1, nb2, inputs, reduction=entry.reduction, **flags)
+        for inputs in inputs_list
+    ]
+
+
+def build_kernel(algorithm, topology: Topology, inputs: List[Any]):
+    """The fast engine's scalar kernel for one run, or ``None``.
+
+    ``kernel(schedule, max_time, idle_limit) -> ExecutionResult``.
+    """
+    built = build_kernels([algorithm], topology, [inputs])
+    return None if built is None else built[1][0]
 
 
 # ----------------------------------------------------------------------
@@ -87,10 +232,10 @@ def build_kernel(algorithm, topology: Topology, inputs: List[Any]):
 # ----------------------------------------------------------------------
 
 #: Per-topology-object memo for :func:`_degree2_arrays` — topologies
-#: are immutable once built, and both the per-run and batched kernel
-#: factories call this on every build, so the n ``neighbors()`` walks
-#: are paid once per topology instance.  ``False`` records a declined
-#: (too dense) topology; weak keys keep the memo from pinning objects.
+#: are immutable once built, and every kernel build calls this, so the
+#: n ``neighbors()`` walks are paid once per topology instance.
+#: ``False`` records a declined (too dense) topology; weak keys keep
+#: the memo from pinning objects.
 _DEGREE2_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -132,7 +277,8 @@ def _degree2_arrays(topology: Topology) -> Optional[Tuple[List[int], List[int]]]
 # Algorithms 2 and 3: the (x, a, b[, r]) register family
 # ----------------------------------------------------------------------
 
-def _make_ab_kernel(algorithm, topology, inputs, *, reduction: bool):
+def _make_ab_kernel(nb1, nb2, inputs, *, reduction: bool,
+                    green_light: bool = True, guarded_adoption: bool = True):
     """Fused loop for Algorithm 2 (``reduction=False``) / Algorithm 3.
 
     One code path serves both: Algorithm 3 is Algorithm 2 plus the
@@ -143,14 +289,7 @@ def _make_ab_kernel(algorithm, topology, inputs, *, reduction: bool):
     from repro.core.coloring5 import FiveState
     from repro.core.fast_coloring5 import FastState, INFINITE_ROUND
 
-    arrays = _degree2_arrays(topology)
-    if arrays is None:
-        return None
-    nb1, nb2 = arrays
-    n = topology.n
-    if reduction:
-        green_light = algorithm.green_light
-        guarded_adoption = algorithm.guarded_adoption
+    n = len(nb1)
 
     def run(schedule, max_time, idle_limit) -> ExecutionResult:
         st_x = list(inputs)
@@ -308,7 +447,8 @@ def _make_ab_kernel(algorithm, topology, inputs, *, reduction: bool):
 # Algorithms 1 and fast-6: the (x, (a, b) pair[, r]) register family
 # ----------------------------------------------------------------------
 
-def _make_pair_kernel(algorithm, topology, inputs, *, reduction: bool):
+def _make_pair_kernel(nb1, nb2, inputs, *, reduction: bool,
+                      green_light: bool = True):
     """Fused loop for Algorithm 1 (``reduction=False``) / fast-six.
 
     The pair algorithms return the *color pair* ``(a, b)`` and compare
@@ -320,13 +460,7 @@ def _make_pair_kernel(algorithm, topology, inputs, *, reduction: bool):
     from repro.core.coloring6 import SixState
     from repro.extensions.fast_six import FastSixState, INFINITE_ROUND
 
-    arrays = _degree2_arrays(topology)
-    if arrays is None:
-        return None
-    nb1, nb2 = arrays
-    n = topology.n
-    if reduction:
-        green_light = algorithm.green_light
+    n = len(nb1)
 
     def run(schedule, max_time, idle_limit) -> ExecutionResult:
         st_x = list(inputs)
@@ -462,27 +596,23 @@ def _make_pair_kernel(algorithm, topology, inputs, *, reduction: bool):
 # Registrations (imported lazily to keep repro.model import-light)
 # ----------------------------------------------------------------------
 
+#: Family → scalar kernel factory.
+_SCALAR_KERNELS: Dict[str, Callable] = {
+    "ab": _make_ab_kernel,
+    "pair": _make_pair_kernel,
+}
+
+
 def _register_builtin_kernels() -> None:
     from repro.core.coloring5 import FiveColoring
     from repro.core.coloring6 import SixColoring
     from repro.core.fast_coloring5 import FastFiveColoring
     from repro.extensions.fast_six import FastSixColoring
 
-    @register_kernel(FiveColoring)
-    def _alg2_kernel(algorithm, topology, inputs):
-        return _make_ab_kernel(algorithm, topology, inputs, reduction=False)
-
-    @register_kernel(FastFiveColoring)
-    def _alg3_kernel(algorithm, topology, inputs):
-        return _make_ab_kernel(algorithm, topology, inputs, reduction=True)
-
-    @register_kernel(SixColoring)
-    def _alg1_kernel(algorithm, topology, inputs):
-        return _make_pair_kernel(algorithm, topology, inputs, reduction=False)
-
-    @register_kernel(FastSixColoring)
-    def _fast6_kernel(algorithm, topology, inputs):
-        return _make_pair_kernel(algorithm, topology, inputs, reduction=True)
+    register_kernel(FiveColoring, "ab")
+    register_kernel(FastFiveColoring, "ab", reduction=True)
+    register_kernel(SixColoring, "pair")
+    register_kernel(FastSixColoring, "pair", reduction=True)
 
 
 _register_builtin_kernels()

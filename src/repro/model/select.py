@@ -17,9 +17,10 @@ The rules, in order:
 2. Replica ensembles (``replicas > 1``) go to ``batch`` — lockstep
    across replicas amortizes the interpreter loop over the ensemble.
 3. Single runs go to ``wide`` when the vectorized step can pay for
-   itself: numpy importable, a wide kernel registered for the exact
-   algorithm type, a schedule family with a *known* expected
-   activation-set size, ``n`` at least :data:`WIDE_MIN_N` and the
+   itself: numpy importable, a kernel registered for the exact
+   algorithm type (:data:`repro.model.kernels.KERNELS`; every
+   registered type runs on every kernel engine), a schedule family
+   with a *known* expected activation-set size, ``n`` at least :data:`WIDE_MIN_N` and the
    expected set size at least :data:`WIDE_MIN_STEP_OCCUPANCY`.
 4. Everything else — small ``n``, sparse or opaque schedules, unknown
    algorithm types — stays on ``fast``.
@@ -100,13 +101,11 @@ def _decide(
         return "fast", "monitors"
     if replicas > 1:
         return "batch", "replicas"
-    from repro.model.batch import load_numpy
+    from repro.model.kernels import KERNELS, load_numpy
 
     if load_numpy() is None:
         return "fast", "no-numpy"
-    from repro.model.wide import WIDE_KERNELS
-
-    if type(algorithm) not in WIDE_KERNELS:
+    if type(algorithm) not in KERNELS:
         return "fast", "no-wide-kernel"
     n = topology.n
     occupancy = _expected_step_occupancy(schedule, n)

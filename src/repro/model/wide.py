@@ -36,10 +36,11 @@ Design:
   vectorized, while a ``SoloScheduler`` run degrades to fastpath-style
   execution instead of paying vector overhead per singleton step.
 * **numpy strictly optional.**  Without numpy (absent, or disabled via
-  the shared ``REPRO_BATCH_DISABLE_NUMPY`` flag) the engine delegates
-  to the scalar fastpath kernels of :mod:`repro.model.kernels` — the
-  pure-Python tier is bit-identical by construction, and schedulers'
-  ``steps_wide`` overrides equally degrade to their scalar streams.
+  the shared ``REPRO_BATCH_DISABLE_NUMPY`` flag), or with identifiers
+  outside the exact-int64 range, the run takes the scalar tier: the
+  fastpath kernel of :mod:`repro.model.kernels`, bit-identical by
+  construction, consuming the schedule through ``steps_fast`` — the
+  stream ``steps_wide``'s contract pins.
 
 Correctness discipline is the repo-wide one: results must reproduce
 the reference :class:`~repro.model.execution.Executor` *bit
@@ -51,39 +52,36 @@ Schedules are consumed through
 overrides (synchronous, Bernoulli, uniform-subset) replicate the
 scalar schedulers' MT19937 stream consumption draw for draw.
 
-Kernels dispatch by *exact* algorithm type and decline (``None``)
-whatever they cannot guarantee equivalence for — unsupported topology
-degree, identifiers outside the exact-int64 range — so callers fall
-back to the fast engine.
+Kernels come from the one registry of :mod:`repro.model.kernels`
+(exact algorithm type → register family) through its shared build
+path, which declines (``None``) whatever no kernel can guarantee
+equivalence for — unregistered types, unsupported topology degree — so
+callers fall back to the fast engine.  This module supplies the family
+→ numpy runner table (:data:`_RUNNERS`).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 from time import time as wall_clock
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, List, Optional
 
 from repro.errors import ExecutionError
-from repro.model.batch import (
-    _INF64,
-    _LazyMapping,
-    _ids_as_int64,
-    _rid_np,
-    load_numpy,
-    numpy_accelerated,
+from repro.model.batch import _INF64, _LazyMapping, _rid_np
+from repro.model.execution import (
+    DEFAULT_IDLE_LIMIT,
+    DEFAULT_MAX_TIME,
+    ExecutionResult,
+    effective_idle_limit,
 )
-from repro.model.execution import DEFAULT_MAX_TIME, ExecutionResult
-from repro.model.kernels import _degree2_arrays
+from repro.model.kernels import build_kernels
 from repro.model.schedule import Schedule
 from repro.model.topology import Topology
 from repro.obs.metrics import active_registry, record_execution
-from repro.obs.spans import span
 from repro.obs.trace import is_recording, record_timed
 
 __all__ = [
     "DENSE_STEP_MIN",
-    "WIDE_KERNELS",
-    "register_wide_kernel",
     "build_wide_kernel",
     "run_wide",
 ]
@@ -93,36 +91,35 @@ __all__ = [
 #: it the engine runs the scalar per-process loop over the same planes.
 DENSE_STEP_MIN = 32
 
-#: Exact algorithm type → wide kernel factory with signature
-#: ``factory(algorithm, topology, inputs) -> Optional[runner]`` where
-#: ``runner(schedule, max_time, idle_limit)`` returns
-#: ``(ExecutionResult, stats)`` — ``stats`` holds the dense/sparse step
-#: split and the mean frontier occupancy.
-WIDE_KERNELS: Dict[Type, Callable] = {}
-
-
-def register_wide_kernel(algorithm_type: Type):
-    """Class decorator registering ``factory`` for ``algorithm_type``."""
-
-    def decorate(factory: Callable) -> Callable:
-        WIDE_KERNELS[algorithm_type] = factory
-        return factory
-
-    return decorate
-
-
 def build_wide_kernel(algorithm, topology: Topology, inputs: List[Any]):
     """The wide runner for this configuration, or ``None``.
 
-    Exact-type dispatch, mirroring the scalar and batched kernel
-    registries: a subclass may override ``step`` and silently change
-    semantics, so it never matches.
+    ``runner(schedule, max_time, idle_limit)`` returns
+    ``(ExecutionResult, stats)`` — ``stats`` holds the tier
+    (``"vector"`` or ``"scalar"``), the dense/sparse step split and the
+    mean frontier occupancy.
     """
-    factory = WIDE_KERNELS.get(type(algorithm))
-    if factory is None:
+    built = build_kernels([algorithm], topology, [inputs], vector=_RUNNERS)
+    if built is None:
         return None
-    with span("engine_kernel_build", algorithm=type(algorithm).__name__):
-        return factory(algorithm, topology, inputs)
+    tier, kernel = built
+    return kernel if tier == "vector" else _scalar_tier(kernel[0])
+
+
+def _scalar_tier(kernel):
+    """The scalar kernel, reporting wide's stats (tier ``"scalar"``)."""
+
+    def run(schedule, max_time, idle_limit):
+        result = kernel(schedule, max_time, idle_limit)
+        stats = {
+            "tier": "scalar",
+            "dense_steps": 0,
+            "sparse_steps": 0,
+            "occupancy": 0.0,
+        }
+        return result, stats
+
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -245,33 +242,15 @@ def _wide_result(np, n, undone, act, ret_time, final_time, exhausted,
 # Algorithms 2 and 3, wide: the (x, a, b[, r]) register family
 # ----------------------------------------------------------------------
 
-def _make_wide_ab_kernel(algorithm, topology, inputs, *, reduction):
+def _numpy_wide_ab_runner(np, nb1, nb2, ids, *, reduction,
+                          green_light=True, guarded_adoption=True):
     """Node-vectorized fused loop for Algorithm 2 / Algorithm 3."""
-    arrays = _degree2_arrays(topology)
-    if arrays is None:
-        return None
-    np = load_numpy()
-    if np is None:
-        return _scalar_delegate(algorithm, topology, inputs)
-    init = _ids_as_int64(np, [inputs])
-    if init is None:
-        # Huge (≥ 2⁵³) or non-integer identifiers: exact int64 lanes
-        # are impossible, so the run takes the scalar tier.
-        return _scalar_delegate(algorithm, topology, inputs)
-    return _numpy_wide_ab_runner(
-        np, topology.n, arrays[0], arrays[1], init[0],
-        reduction=reduction,
-        green_light=algorithm.green_light if reduction else True,
-        guarded_adoption=algorithm.guarded_adoption if reduction else True,
-    )
-
-
-def _numpy_wide_ab_runner(np, n, nb1, nb2, init_x, *, reduction,
-                          green_light, guarded_adoption):
     from repro.core.coin_tossing import reduce_identifier
     from repro.core.coloring5 import FiveState
     from repro.core.fast_coloring5 import FastState, INFINITE_ROUND
 
+    init_x = ids[0]
+    n = len(init_x)
     N1 = n + 1
     nb1a = np.asarray(nb1, dtype=np.int64)
     nb2a = np.asarray(nb2, dtype=np.int64)
@@ -527,30 +506,15 @@ def _numpy_wide_ab_runner(np, n, nb1, nb2, init_x, *, reduction,
 # Algorithms 1 and fast-6, wide: the (x, (a, b) pair[, r]) family
 # ----------------------------------------------------------------------
 
-def _make_wide_pair_kernel(algorithm, topology, inputs, *, reduction):
+def _numpy_wide_pair_runner(np, nb1, nb2, ids, *, reduction,
+                            green_light=True):
     """Node-vectorized fused loop for Algorithm 1 / fast-six."""
-    arrays = _degree2_arrays(topology)
-    if arrays is None:
-        return None
-    np = load_numpy()
-    if np is None:
-        return _scalar_delegate(algorithm, topology, inputs)
-    init = _ids_as_int64(np, [inputs])
-    if init is None:
-        return _scalar_delegate(algorithm, topology, inputs)
-    return _numpy_wide_pair_runner(
-        np, topology.n, arrays[0], arrays[1], init[0],
-        reduction=reduction,
-        green_light=algorithm.green_light if reduction else True,
-    )
-
-
-def _numpy_wide_pair_runner(np, n, nb1, nb2, init_x, *, reduction,
-                            green_light):
     from repro.core.coin_tossing import reduce_identifier
     from repro.core.coloring6 import SixState
     from repro.extensions.fast_six import FastSixState, INFINITE_ROUND
 
+    init_x = ids[0]
+    n = len(init_x)
     N1 = n + 1
     nb1a = np.asarray(nb1, dtype=np.int64)
     nb2a = np.asarray(nb2, dtype=np.int64)
@@ -774,70 +738,8 @@ def _numpy_wide_pair_runner(np, n, nb1, nb2, init_x, *, reduction,
     return run
 
 
-# ----------------------------------------------------------------------
-# Pure-Python tier
-# ----------------------------------------------------------------------
-
-def _scalar_delegate(algorithm, topology, inputs):
-    """The pure tier: delegate to the scalar fastpath kernel.
-
-    A node-vectorized step over plain Python lists degenerates to the
-    very loop :mod:`repro.model.kernels` already compiles, so the tier
-    *is* that kernel — bit-identical by construction, with
-    ``steps_fast`` consuming exactly the stream ``steps_wide``'s
-    contract pins.  Declines (``None``) when the scalar kernel does.
-    """
-    from repro.model.kernels import build_kernel
-
-    kernel = build_kernel(algorithm, topology, list(inputs))
-    if kernel is None:
-        return None
-
-    def run(schedule, max_time, idle_limit):
-        result = kernel(schedule, max_time, idle_limit)
-        stats = {
-            "tier": "scalar",
-            "dense_steps": 0,
-            "sparse_steps": 0,
-            "occupancy": 0.0,
-        }
-        return result, stats
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# Registrations (imported lazily to keep repro.model import-light)
-# ----------------------------------------------------------------------
-
-def _register_builtin_wide_kernels() -> None:
-    from repro.core.coloring5 import FiveColoring
-    from repro.core.coloring6 import SixColoring
-    from repro.core.fast_coloring5 import FastFiveColoring
-    from repro.extensions.fast_six import FastSixColoring
-
-    @register_wide_kernel(FiveColoring)
-    def _alg2_wide(algorithm, topology, inputs):
-        return _make_wide_ab_kernel(algorithm, topology, inputs,
-                                    reduction=False)
-
-    @register_wide_kernel(FastFiveColoring)
-    def _alg3_wide(algorithm, topology, inputs):
-        return _make_wide_ab_kernel(algorithm, topology, inputs,
-                                    reduction=True)
-
-    @register_wide_kernel(SixColoring)
-    def _alg1_wide(algorithm, topology, inputs):
-        return _make_wide_pair_kernel(algorithm, topology, inputs,
-                                      reduction=False)
-
-    @register_wide_kernel(FastSixColoring)
-    def _fast6_wide(algorithm, topology, inputs):
-        return _make_wide_pair_kernel(algorithm, topology, inputs,
-                                      reduction=True)
-
-
-_register_builtin_wide_kernels()
+#: Family → numpy runner, for :func:`repro.model.kernels.build_kernels`.
+_RUNNERS = {"ab": _numpy_wide_ab_runner, "pair": _numpy_wide_pair_runner}
 
 
 # ----------------------------------------------------------------------
@@ -851,7 +753,7 @@ def run_wide(
     schedule: Schedule,
     *,
     max_time: int = DEFAULT_MAX_TIME,
-    idle_limit: int = 10_000,
+    idle_limit: int = DEFAULT_IDLE_LIMIT,
 ) -> Optional[ExecutionResult]:
     """One run through the wide engine, or ``None``.
 
@@ -869,6 +771,7 @@ def run_wide(
     kernel = build_wide_kernel(algorithm, topology, inputs)
     if kernel is None:
         return None
+    idle_limit = effective_idle_limit(idle_limit, topology.n)
     registry = active_registry()
     if registry is None and not is_recording():
         result, _stats = kernel(schedule, max_time, idle_limit)

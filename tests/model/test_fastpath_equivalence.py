@@ -433,7 +433,7 @@ def test_auto_never_selects_a_contract_changing_engine():
     the given request: recording and monitored runs land on engines
     that actually produce traces/registers and run monitors."""
     from repro.model.select import select_engine
-    from repro.model.wide import WIDE_KERNELS
+    from repro.model.kernels import KERNELS
     from repro.obs.monitors import ActivationBudgetMonitor
 
     alg = FastFiveColoring()
@@ -457,7 +457,7 @@ def test_auto_never_selects_a_contract_changing_engine():
     class Custom(FastFiveColoring):
         pass
 
-    assert type(Custom()) not in WIDE_KERNELS
+    assert type(Custom()) not in KERNELS
     assert select_engine(Custom(), Cycle(5000), SynchronousScheduler()) == "fast"
     assert select_engine(
         alg, Cycle(5000), FiniteSchedule([{0, 1, 2}] * 5)
